@@ -1,0 +1,25 @@
+package main
+
+import (
+	"math"
+	"sort"
+)
+
+// quantile returns the q-quantile of xs by linear interpolation between
+// order statistics (0 for an empty sample). xs is sorted in place.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	pos := q * float64(len(xs)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return xs[lo] + (xs[hi]-xs[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+// beyond returns how many samples lie above the q-quantile; a tail
+// percentile is only reported where at least ten do.
+func beyond(n int, q float64) int { return n - int(math.Ceil(q*float64(n))) }
