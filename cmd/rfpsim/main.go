@@ -4,13 +4,22 @@
 //
 // Usage:
 //
-//	rfpsim -workload spec06_mcf [-rfp] [-clp] [-vp eves|dlvp|composite|epp]
-//	       [-oracle l1|l2|llc|mem] [-prefetcher stream|spp|sisb|managed]
-//	       [-2x] [-warmup N] [-measure N] [-seed S]
+//	rfpsim -workload spec06_mcf [-rfp [-pat] [-context] [-confbits B] [-ptentries N]]
+//	       [-clp] [-vp eves|dlvp|composite|epp] [-oracle l1|l2|llc|mem]
+//	       [-prefetcher stream|spp|sisb|managed] [-latealloc] [-2x]
+//	       [-warmup N] [-measure N] [-coldcaches]
 //	       [-sample] [-sample-interval N] [-sample-maxk K] [-sample-warmup N]
 //	       [-checks] [-v] [-cpuprofile out.pprof]
 //	rfpsim -workload all -diff norfp [-measure N] [-diff-interval N]
 //	rfpsim -listworkloads
+//
+// The configuration flags are the rfpsimd "config" knobs under CLI
+// spellings: they fill a service.ConfigSpec and resolve through its
+// Build, so the CLI names, defaults and validates a configuration exactly
+// as the daemon does (docs/service.md). -clp implies -rfp; -pat,
+// -context, -confbits and -ptentries without -rfp are rejected, and
+// -confbits/-ptentries of 0 keep the paper's defaults. Any invalid
+// configuration exits 2.
 //
 // -prefetcher enables an L1 hardware cache prefetcher from the zoo
 // (docs/prefetchers.md): "stream" (sequential), "spp" (signature-path),
@@ -47,6 +56,7 @@ import (
 	"rfpsim/internal/obs"
 	"rfpsim/internal/runner"
 	"rfpsim/internal/sample"
+	"rfpsim/internal/service"
 	"rfpsim/internal/stats"
 	"rfpsim/internal/trace"
 	"rfpsim/internal/tracefile"
@@ -67,8 +77,8 @@ func main() {
 		warmup    = flag.Uint64("warmup", 30000, "warmup uops (cache/predictor training)")
 		measure   = flag.Uint64("measure", 60000, "measured uops")
 		noWarmC   = flag.Bool("coldcaches", false, "skip footprint-based cache warming")
-		confBits  = flag.Int("confbits", 1, "RFP confidence counter width (1-4)")
-		ptEntries = flag.Int("ptentries", 1024, "RFP Prefetch Table entries")
+		confBits  = flag.Int("confbits", 0, "RFP confidence counter width (1-4; 0 = paper default)")
+		ptEntries = flag.Int("ptentries", 0, "RFP Prefetch Table entries (0 = paper default)")
 		pipeTrace = flag.Uint64("pipetrace", 0, "stream N cycles of pipeline events to stderr (after warmup)")
 		profile   = flag.Bool("profile", false, "print per-PC load profile (top 15) after the run")
 
@@ -100,58 +110,22 @@ func main() {
 		return
 	}
 
-	cfg := config.Baseline()
-	if *upscaled {
-		cfg = config.Baseline2x()
-	}
-	if *useRFP || *useCLP {
-		cfg = cfg.WithRFP()
-		cfg.RFP.UsePAT = *usePAT
-		cfg.RFP.UseContext = *useCtx
-		cfg.RFP.ConfidenceBits = *confBits
-		cfg.RFP.PTEntries = *ptEntries
-		if *useCLP {
-			cfg.RFP.UseCLP = true
-			cfg.Name += "+clp"
-		}
-	}
-	switch *vpMode {
-	case "":
-	case "eves":
-		cfg = cfg.WithVP(config.VPEVES)
-	case "dlvp":
-		cfg = cfg.WithVP(config.VPDLVP)
-	case "composite":
-		cfg = cfg.WithVP(config.VPComposite)
-	case "epp":
-		cfg = cfg.WithVP(config.VPEPP)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -vp mode %q\n", *vpMode)
-		os.Exit(2)
-	}
-	switch *oracle {
-	case "":
-	case "l1":
-		cfg = cfg.WithOracle(config.OracleL1ToRF)
-	case "l2":
-		cfg = cfg.WithOracle(config.OracleL2ToL1)
-	case "llc":
-		cfg = cfg.WithOracle(config.OracleLLCToL2)
-	case "mem":
-		cfg = cfg.WithOracle(config.OracleMemToLLC)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -oracle %q\n", *oracle)
-		os.Exit(2)
-	}
-	if *lateAlloc {
-		cfg.LateRegAlloc = true
-		cfg.Name += "+latealloc"
-	}
-	if *pfName != "" {
-		cfg = cfg.WithPrefetcher(*pfName)
-	}
-	cfg.Checks.Enabled = *doChecks
-	if err := cfg.Validate(); err != nil {
+	// The daemon's ConfigSpec is the one knob path (see the package doc).
+	cfg, err := service.ConfigSpec{
+		Upscaled:       *upscaled,
+		RFP:            *useRFP || *useCLP,
+		PAT:            *usePAT,
+		Context:        *useCtx,
+		CLP:            *useCLP,
+		ConfidenceBits: *confBits,
+		PTEntries:      *ptEntries,
+		VP:             *vpMode,
+		Oracle:         *oracle,
+		LateRegAlloc:   *lateAlloc,
+		Prefetcher:     *pfName,
+		Checks:         *doChecks,
+	}.Build()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

@@ -2,17 +2,14 @@ package console
 
 import (
 	"context"
-	"encoding/csv"
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
 
-	"rfpsim/internal/experiments"
 	"rfpsim/internal/obs"
 	"rfpsim/internal/service"
+	"rfpsim/internal/sweep"
 )
 
 // job is one console submission. The daemon's result cache owns the body
@@ -211,7 +208,7 @@ func (c *Console) handleJobByID(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/csv")
-		if err := writeJobsCSV(w, []csvRow{{label: "console/" + workload, resp: resp}}); err != nil {
+		if err := sweep.WriteMetricsCSV(w, []sweep.MetricsRow{{Label: "console/" + workload, Resp: resp}}); err != nil {
 			c.logger.Error("console csv write failed", "err", err.Error())
 		}
 	default:
@@ -227,53 +224,19 @@ func (c *Console) handleAggregateCSV(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	var rows []csvRow
+	var rows []sweep.MetricsRow
 	c.mu.Lock()
 	for _, id := range c.order {
 		j := c.jobs[id]
 		j.mu.Lock()
 		if j.state == "done" {
-			rows = append(rows, csvRow{label: "console/" + j.workload, resp: j.resp})
+			rows = append(rows, sweep.MetricsRow{Label: "console/" + j.workload, Resp: j.resp})
 		}
 		j.mu.Unlock()
 	}
 	c.mu.Unlock()
 	w.Header().Set("Content-Type", "text/csv")
-	if err := writeJobsCSV(w, rows); err != nil {
+	if err := sweep.WriteMetricsCSV(w, rows); err != nil {
 		c.logger.Error("console csv write failed", "err", err.Error())
 	}
-}
-
-// csvRow is one finished job to render.
-type csvRow struct {
-	label string
-	resp  *service.SimResponse
-}
-
-// writeJobsCSV emits the byte-pinned sweep schema — the header and the
-// ipc/cycles/instructions rows per unit, formatted by the same
-// experiments helpers sweep.Summary.WriteCSV uses. A console CSV and a
-// sweep CSV of the same simulations are byte-identical modulo labels.
-func writeJobsCSV(w io.Writer, rows []csvRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(experiments.MetricsCSVHeader); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if row.resp == nil {
-			return errors.New("console: finished job without a response")
-		}
-		cells := [][]string{
-			{row.label, "ipc", experiments.FormatMetric(row.resp.IPC)},
-			{row.label, "cycles", experiments.FormatCount(row.resp.Cycles)},
-			{row.label, "instructions", experiments.FormatCount(row.resp.Instructions)},
-		}
-		for _, cell := range cells {
-			if err := cw.Write(cell); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -57,7 +57,9 @@ type ConfigSpec struct {
 	Checks bool `json:"checks,omitempty"`
 }
 
-// Build resolves the spec into a validated core configuration.
+// Build resolves the spec into a validated core configuration. It is the
+// one knob path: rfpsimd requests, sweep grids and the rfpsim flags all
+// resolve through it.
 func (s ConfigSpec) Build() (config.Core, error) {
 	cfg := config.Baseline()
 	if s.Upscaled {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"rfpsim/internal/obs"
+	"rfpsim/internal/stats"
 )
 
 // Metrics aggregates the service's observability counters. All fields are
@@ -29,23 +30,56 @@ type Metrics struct {
 	tracesUploaded atomic.Uint64 // counter: traces accepted by POST /v1/traces
 	traceRejects   atomic.Uint64 // counter: trace-sourced requests rejected (bad upload, unknown address)
 
-	simCycles    atomic.Uint64 // total simulated cycles across all jobs
 	simBusyNanos atomic.Uint64 // total wall time workers spent simulating
 
-	l1pfIssued atomic.Uint64 // L1 hardware prefetches issued across all jobs
-	l1pfUseful atomic.Uint64 // L1 hardware prefetches consumed by demand
+	jobCounts [len(jobCounters)]atomic.Uint64 // running sums of jobCounters
+}
 
-	clpPredicted   atomic.Uint64 // confident cache-level predictions across all jobs
-	clpCorrect     atomic.Uint64 // predictions matching the actual serving level
-	clpSkippedDRAM atomic.Uint64 // RFP injections suppressed on a predicted DRAM hit
-	clpEarlyArmed  atomic.Uint64 // prefetches armed early on a predicted near hit
+// jobCounters declares each counter summed over the stats of every
+// successful job, once: the worker adds each one per job (addJob) and
+// WritePrometheus exposes them in this order.
+var jobCounters = [...]struct {
+	name, help string
+	of         func(*stats.Sim) uint64
+}{
+	{"rfpsimd_sim_cycles_total", "Simulated core cycles across all jobs.",
+		func(s *stats.Sim) uint64 { return s.Cycles }},
+	{"rfpsimd_l1pf_issued_total", "L1 hardware prefetches issued across all jobs (docs/prefetchers.md).",
+		func(s *stats.Sim) uint64 { return s.L1PF.Issued }},
+	{"rfpsimd_l1pf_useful_total", "L1 hardware prefetches consumed by a demand access across all jobs.",
+		func(s *stats.Sim) uint64 { return s.L1PF.Useful }},
+	{"rfpsimd_clp_predicted_total", "Confident cache-level predictions across all jobs (docs/predictors.md).",
+		func(s *stats.Sim) uint64 { return s.CLP.PredictedTotal() }},
+	{"rfpsimd_clp_correct_total", "Cache-level predictions matching the actual serving level.",
+		func(s *stats.Sim) uint64 { return s.CLP.CorrectTotal() }},
+	{"rfpsimd_clp_skipped_dram_total", "RFP injections suppressed because CLP predicted a DRAM access.",
+		func(s *stats.Sim) uint64 { return s.CLP.SkippedDRAM }},
+	{"rfpsimd_clp_early_armed_total", "RFP prefetches armed early on a CLP-predicted near hit.",
+		func(s *stats.Sim) uint64 { return s.CLP.EarlyArmed }},
+	{"rfpsim_check_violations_total", "Runtime invariant violations across jobs run with the checker enabled (docs/checking.md).",
+		func(s *stats.Sim) uint64 { return s.Checks.Total() }},
+}
 
-	checkViolations atomic.Uint64 // invariant violations across checked jobs
+// addJob folds one successful job's stats into the job counters.
+func (m *Metrics) addJob(st *stats.Sim) {
+	for i, c := range jobCounters {
+		m.jobCounts[i].Add(c.of(st))
+	}
+}
+
+// jobCount returns the running sum of the job counter called name.
+func (m *Metrics) jobCount(name string) uint64 {
+	for i, c := range jobCounters {
+		if c.name == name {
+			return m.jobCounts[i].Load()
+		}
+	}
+	panic("service: no job counter " + name)
 }
 
 // CheckViolations returns the invariant violations observed across all
 // jobs that ran with the checker enabled (config.checks on the request).
-func (m *Metrics) CheckViolations() uint64 { return m.checkViolations.Load() }
+func (m *Metrics) CheckViolations() uint64 { return m.jobCount("rfpsim_check_violations_total") }
 
 // WritePrometheus implements obs.Collector. The exposition format —
 // metric names, label sets, ordering — is pinned by a golden test
@@ -55,7 +89,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	busy := float64(m.simBusyNanos.Load()) / 1e9
 	cyclesPerSec := 0.0
 	if busy > 0 {
-		cyclesPerSec = float64(m.simCycles.Load()) / busy
+		cyclesPerSec = float64(m.jobCount("rfpsimd_sim_cycles_total")) / busy
 	}
 	obs.Gauge(w, "rfpsimd_jobs_queued", "Jobs accepted and waiting for a worker.", m.jobsQueued.Load())
 	obs.Gauge(w, "rfpsimd_jobs_running", "Jobs currently simulating.", m.jobsRunning.Load())
@@ -70,14 +104,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	obs.Counter(w, "rfpsimd_fabric_dedup_total", "Requests coalesced onto a concurrent identical in-flight request.", m.fabricDedup.Load())
 	obs.Counter(w, "rfpsimd_traces_uploaded_total", "Traces accepted by POST /v1/traces (re-uploads of identical bytes included).", m.tracesUploaded.Load())
 	obs.Counter(w, "rfpsimd_trace_rejects_total", "Trace-sourced requests rejected: undecodable uploads and /v1/sim references to unknown trace addresses (docs/traces.md).", m.traceRejects.Load())
-	obs.Counter(w, "rfpsimd_sim_cycles_total", "Simulated core cycles across all jobs.", m.simCycles.Load())
-	obs.Counter(w, "rfpsimd_l1pf_issued_total", "L1 hardware prefetches issued across all jobs (docs/prefetchers.md).", m.l1pfIssued.Load())
-	obs.Counter(w, "rfpsimd_l1pf_useful_total", "L1 hardware prefetches consumed by a demand access across all jobs.", m.l1pfUseful.Load())
-	obs.Counter(w, "rfpsimd_clp_predicted_total", "Confident cache-level predictions across all jobs (docs/predictors.md).", m.clpPredicted.Load())
-	obs.Counter(w, "rfpsimd_clp_correct_total", "Cache-level predictions matching the actual serving level.", m.clpCorrect.Load())
-	obs.Counter(w, "rfpsimd_clp_skipped_dram_total", "RFP injections suppressed because CLP predicted a DRAM access.", m.clpSkippedDRAM.Load())
-	obs.Counter(w, "rfpsimd_clp_early_armed_total", "RFP prefetches armed early on a CLP-predicted near hit.", m.clpEarlyArmed.Load())
-	obs.Counter(w, "rfpsim_check_violations_total", "Runtime invariant violations across jobs run with the checker enabled (docs/checking.md).", m.checkViolations.Load())
+	for i, c := range jobCounters {
+		obs.Counter(w, c.name, c.help, m.jobCounts[i].Load())
+	}
 	obs.Gauge(w, "rfpsimd_sim_cycles_per_second", "Simulated cycles per wall-clock second of worker busy time.", cyclesPerSec)
 
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()

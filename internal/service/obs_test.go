@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"rfpsim/internal/obs"
+	"rfpsim/internal/stats"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current output")
@@ -52,6 +54,41 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("/metrics exposition drifted from %s (run with -update after deliberate changes)\ngot:\n%s\nwant:\n%s",
 			goldenPath, got, want)
+	}
+}
+
+// TestJobCountersReadTheirStats feeds two jobs' stats, each counter source
+// a distinct value, into the per-job counters and asserts every exposed
+// sum reads the stat its name promises. The golden above pins only the
+// zero-valued exposition, so a counter wired to the wrong stat fails here.
+func TestJobCountersReadTheirStats(t *testing.T) {
+	st := &stats.Sim{Cycles: 11}
+	st.L1PF.Issued, st.L1PF.Useful = 13, 17
+	st.CLP.Predicted[stats.LevelL1], st.CLP.Predicted[stats.LevelLLC] = 19, 23
+	st.CLP.Correct[stats.LevelL1] = 29
+	st.CLP.SkippedDRAM, st.CLP.EarlyArmed = 31, 37
+	st.Checks.PRFMultiWriter = 41
+	var m Metrics
+	m.addJob(st)
+	m.addJob(st)
+	var b bytes.Buffer
+	m.WritePrometheus(&b)
+	for name, want := range map[string]uint64{
+		"rfpsimd_sim_cycles_total":       22,
+		"rfpsimd_l1pf_issued_total":      26,
+		"rfpsimd_l1pf_useful_total":      34,
+		"rfpsimd_clp_predicted_total":    84,
+		"rfpsimd_clp_correct_total":      58,
+		"rfpsimd_clp_skipped_dram_total": 62,
+		"rfpsimd_clp_early_armed_total":  74,
+		"rfpsim_check_violations_total":  82,
+	} {
+		if line := fmt.Sprintf("\n%s %d\n", name, want); !strings.Contains(b.String(), line) {
+			t.Errorf("exposition lacks %q", strings.TrimSpace(line))
+		}
+	}
+	if got := m.CheckViolations(); got != 82 {
+		t.Errorf("CheckViolations = %d, want 82", got)
 	}
 }
 

@@ -428,15 +428,8 @@ func (s *Server) worker() {
 		switch {
 		case res.err == nil:
 			s.metrics.jobsOK.Add(1)
-			s.metrics.simCycles.Add(res.st.Cycles)
-			s.metrics.l1pfIssued.Add(res.st.L1PF.Issued)
-			s.metrics.l1pfUseful.Add(res.st.L1PF.Useful)
-			s.metrics.clpPredicted.Add(res.st.CLP.PredictedTotal())
-			s.metrics.clpCorrect.Add(res.st.CLP.CorrectTotal())
-			s.metrics.clpSkippedDRAM.Add(res.st.CLP.SkippedDRAM)
-			s.metrics.clpEarlyArmed.Add(res.st.CLP.EarlyArmed)
+			s.metrics.addJob(res.st)
 			if v := res.st.Checks.Total(); v > 0 {
-				s.metrics.checkViolations.Add(v)
 				log.Warn("invariant violations", "violations", v)
 			}
 			log.Info("job done", "status", "ok",

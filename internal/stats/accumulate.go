@@ -5,100 +5,44 @@ import "reflect"
 // Accumulate folds src's counters into dst. It is the seed-replica merge
 // used by -seeds averaging and by the rfpsimd service: every replica's
 // counters are summed, so ratios computed from the sums are
-// replica-weighted averages. Every numeric field of Sim (recursively
-// through the nested counter blocks) must be propagated here; the
-// reflection test in accumulate_test.go walks the struct and fails if a
-// newly added counter is missing.
+// replica-weighted averages. It walks Sim by reflection (recursively
+// through the nested counter blocks and arrays), so a newly added counter
+// is summed without being listed anywhere; the test in
+// accumulate_test.go sets every numeric field in turn and checks it
+// arrives in dst.
 func Accumulate(dst, src *Sim) {
-	dst.Cycles += src.Cycles
-	dst.Instructions += src.Instructions
-	dst.Loads += src.Loads
-	dst.Stores += src.Stores
-	dst.Branches += src.Branches
-	dst.BranchMispredicts += src.BranchMispredicts
-	for l := range dst.LoadHitLevel {
-		dst.LoadHitLevel[l] += src.LoadHitLevel[l]
-	}
-	dst.StoreForwarded += src.StoreForwarded
-	dst.MemOrderViolations += src.MemOrderViolations
-	dst.HitMissMispredicts += src.HitMissMispredicts
-	dst.Replays += src.Replays
-	dst.RFP.Injected += src.RFP.Injected
-	dst.RFP.Dropped += src.RFP.Dropped
-	dst.RFP.DroppedTLBMiss += src.RFP.DroppedTLBMiss
-	dst.RFP.Executed += src.RFP.Executed
-	dst.RFP.Useful += src.RFP.Useful
-	dst.RFP.FullyHidden += src.RFP.FullyHidden
-	dst.RFP.Wrong += src.RFP.Wrong
-	dst.RFP.L1Misses += src.RFP.L1Misses
-	dst.RFP.PortConflicts += src.RFP.PortConflicts
-	dst.L1PF.Issued += src.L1PF.Issued
-	dst.L1PF.Useful += src.L1PF.Useful
-	dst.L1PF.Late += src.L1PF.Late
-	dst.L1PF.Unused += src.L1PF.Unused
-	dst.L1PF.Dropped += src.L1PF.Dropped
-	dst.L1PF.ManagerEpochs += src.L1PF.ManagerEpochs
-	dst.L1PF.ManagerSwitches += src.L1PF.ManagerSwitches
-	dst.L1PF.ManagerThrottledEpochs += src.L1PF.ManagerThrottledEpochs
-	for l := range dst.CLP.Predicted {
-		dst.CLP.Predicted[l] += src.CLP.Predicted[l]
-		dst.CLP.Correct[l] += src.CLP.Correct[l]
-	}
-	dst.CLP.SkippedDRAM += src.CLP.SkippedDRAM
-	dst.CLP.EarlyArmed += src.CLP.EarlyArmed
-	dst.CLP.CritGated += src.CLP.CritGated
-	dst.VP.Predicted += src.VP.Predicted
-	dst.VP.Correct += src.VP.Correct
-	dst.VP.Mispredicted += src.VP.Mispredicted
-	dst.AP.AddressPredictable += src.AP.AddressPredictable
-	dst.AP.HighConfidence += src.AP.HighConfidence
-	dst.AP.NoFwdPass += src.AP.NoFwdPass
-	dst.AP.ProbeLaunched += src.AP.ProbeLaunched
-	dst.AP.ProbeInTime += src.AP.ProbeInTime
-	dst.DTLBMisses += src.DTLBMisses
-	dst.L1Accesses += src.L1Accesses
-	dst.LoadsAddrReadyAtAlloc += src.LoadsAddrReadyAtAlloc
-	dst.Slots.Retired += src.Slots.Retired
-	dst.Slots.StallLoad += src.Slots.StallLoad
-	dst.Slots.StallExec += src.Slots.StallExec
-	dst.Slots.StallEmpty += src.Slots.StallEmpty
-	dst.VPFlushes += src.VPFlushes
-	dst.EPPReexecutions += src.EPPReexecutions
-	dst.Checks.RFPQueueOverflow += src.Checks.RFPQueueOverflow
-	dst.Checks.PTInflightUnderflow += src.Checks.PTInflightUnderflow
-	dst.Checks.RFPPortOvercommit += src.Checks.RFPPortOvercommit
-	dst.Checks.RFPArmLeadSkew += src.Checks.RFPArmLeadSkew
-	dst.Checks.PRFMultiWriter += src.Checks.PRFMultiWriter
-	dst.Checks.StaleDataDelivered += src.Checks.StaleDataDelivered
+	addScaled(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem(), 1)
 }
 
 // Scale multiplies every counter of s by w. It is the weighted-replay
 // aggregation of sampled simulation (internal/sample): a representative
 // interval standing for w intervals contributes its counters w times, so
 // ratios over the scaled sums are cluster-weighted averages — the SimPoint
-// weighted-CPI construction. Unlike Accumulate it walks the struct by
-// reflection, so a newly added counter is scaled automatically; the test
-// in accumulate_test.go pins Scale(k) == k-fold Accumulate over every
-// field.
+// weighted-CPI construction. It shares Accumulate's walker; the test in
+// accumulate_test.go pins Scale(k) == k-fold Accumulate over every field.
 func Scale(s *Sim, w uint64) {
-	scaleValue(reflect.ValueOf(s).Elem(), w)
+	src := *s
+	*s = Sim{}
+	addScaled(reflect.ValueOf(s).Elem(), reflect.ValueOf(&src).Elem(), w)
 }
 
-func scaleValue(v reflect.Value, w uint64) {
-	switch v.Kind() {
+// addScaled adds w times every numeric leaf of src into the matching leaf
+// of dst; both must hold the same type.
+func addScaled(dst, src reflect.Value, w uint64) {
+	switch dst.Kind() {
 	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			scaleValue(v.Field(i), w)
+		for i := 0; i < dst.NumField(); i++ {
+			addScaled(dst.Field(i), src.Field(i), w)
 		}
 	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			scaleValue(v.Index(i), w)
+		for i := 0; i < dst.Len(); i++ {
+			addScaled(dst.Index(i), src.Index(i), w)
 		}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(v.Uint() * w)
+		dst.SetUint(dst.Uint() + src.Uint()*w)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(v.Int() * int64(w))
+		dst.SetInt(dst.Int() + src.Int()*int64(w))
 	case reflect.Float32, reflect.Float64:
-		v.SetFloat(v.Float() * float64(w))
+		dst.SetFloat(dst.Float() + src.Float()*float64(w))
 	}
 }

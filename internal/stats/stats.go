@@ -123,10 +123,12 @@ type CheckStats struct {
 	StaleDataDelivered uint64
 }
 
-// Total returns the violation count across all invariants.
+// Total returns the violation count across all invariants, summed over
+// Each so the invariant list is declared once.
 func (c CheckStats) Total() uint64 {
-	return c.RFPQueueOverflow + c.PTInflightUnderflow + c.RFPPortOvercommit +
-		c.RFPArmLeadSkew + c.PRFMultiWriter + c.StaleDataDelivered
+	var total uint64
+	c.Each(func(_ string, count uint64) { total += count })
+	return total
 }
 
 // Each calls fn for every invariant counter in a fixed order, using the

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -229,5 +230,40 @@ func TestSlotStats(t *testing.T) {
 	r, l, e, f = zero.Frac()
 	if r+l+e+f != 0 {
 		t.Error("zero slots must give zero fractions")
+	}
+}
+
+// TestCheckStatsEachVisitsEveryField gives each CheckStats field a distinct
+// power of two by reflection and asserts that Each reports every value
+// exactly once, under distinct names, and that Total is their sum. A new
+// invariant counter forgotten in Each fails here instead of vanishing
+// from reports, metrics and Total.
+func TestCheckStatsEachVisitsEveryField(t *testing.T) {
+	var c CheckStats
+	v := reflect.ValueOf(&c).Elem()
+	want := map[uint64]string{}
+	var sum uint64
+	for i := 0; i < v.NumField(); i++ {
+		val := uint64(1) << i
+		v.Field(i).SetUint(val)
+		want[val] = v.Type().Field(i).Name
+		sum += val
+	}
+	seenNames := map[string]bool{}
+	c.Each(func(name string, count uint64) {
+		if name == "" || seenNames[name] {
+			t.Errorf("Each name %q is empty or repeated", name)
+		}
+		seenNames[name] = true
+		if _, ok := want[count]; !ok {
+			t.Errorf("Each(%q) reported %d: not a field value, or a field visited twice", name, count)
+		}
+		delete(want, count)
+	})
+	for _, field := range want {
+		t.Errorf("Each never visits CheckStats.%s", field)
+	}
+	if got := c.Total(); got != sum {
+		t.Errorf("Total = %d, want the sum of every field %d", got, sum)
 	}
 }

@@ -236,28 +236,47 @@ func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Me
 	return sum, nil
 }
 
-// WriteCSV renders completed units in deterministic grid order using the
-// schema cmd/experiments emits (experiment,metric,value): per unit an
-// ipc, a cycles and an instructions row. Two complete runs of the same
-// grid — whatever backend executed them, in whatever order, across
-// however many crash/resume cycles — produce byte-identical files.
+// WriteCSV renders completed units in deterministic grid order through
+// WriteMetricsCSV. Two complete runs of the same grid — whatever backend
+// executed them, in whatever order, across however many crash/resume
+// cycles — produce byte-identical files.
 func (s *Summary) WriteCSV(w io.Writer) error {
+	var rows []MetricsRow
+	for _, u := range s.Units {
+		if resp, ok := s.Results[u.Key]; ok {
+			rows = append(rows, MetricsRow{Label: u.Label, Resp: resp})
+		}
+	}
+	return WriteMetricsCSV(w, rows)
+}
+
+// MetricsRow is one labelled simulation result of a metrics CSV.
+type MetricsRow struct {
+	Label string
+	Resp  *service.SimResponse
+}
+
+// WriteMetricsCSV writes the schema cmd/experiments emits
+// (experiment,metric,value): the header, then per row an ipc, a cycles
+// and an instructions row. Sweep aggregates and the rfpsimd console both
+// render through it, so their CSVs of the same simulations differ only in
+// labels.
+func WriteMetricsCSV(w io.Writer, rows []MetricsRow) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(experiments.MetricsCSVHeader); err != nil {
 		return err
 	}
-	for _, u := range s.Units {
-		resp, ok := s.Results[u.Key]
-		if !ok {
-			continue
+	for _, r := range rows {
+		if r.Resp == nil {
+			return fmt.Errorf("sweep: metrics row %q has no result", r.Label)
 		}
-		rows := [][]string{
-			{u.Label, "ipc", experiments.FormatMetric(resp.IPC)},
-			{u.Label, "cycles", experiments.FormatCount(resp.Cycles)},
-			{u.Label, "instructions", experiments.FormatCount(resp.Instructions)},
+		records := [][]string{
+			{r.Label, "ipc", experiments.FormatMetric(r.Resp.IPC)},
+			{r.Label, "cycles", experiments.FormatCount(r.Resp.Cycles)},
+			{r.Label, "instructions", experiments.FormatCount(r.Resp.Instructions)},
 		}
-		for _, row := range rows {
-			if err := cw.Write(row); err != nil {
+		for _, rec := range records {
+			if err := cw.Write(rec); err != nil {
 				return err
 			}
 		}
