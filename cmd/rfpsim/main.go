@@ -40,7 +40,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -160,19 +159,11 @@ func main() {
 		}
 	}
 	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
+		job.NewGen, job.Spec, err = loadTrace(*traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		r, err := tracefile.NewReader(f, *traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		job.Gen = r
-		job.Spec = trace.Spec{Name: *traceFile, Category: "trace-file"}
 	} else {
 		spec, ok := trace.ByName(*workload)
 		if !ok {
@@ -259,26 +250,13 @@ func runDiff(ctx context.Context, variant config.Core, mode, workload, traceFile
 	var specs []trace.Spec
 	switch {
 	case traceFile != "":
-		// Both sides (and any retry) need a fresh generator over the
-		// identical stream, so the file is read once and re-decoded per
-		// side.
-		data, err := os.ReadFile(traceFile)
+		var spec trace.Spec
+		d.NewGen, spec, err = loadTrace(traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		if _, err := tracefile.NewReader(bytes.NewReader(data), traceFile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		d.NewGen = func() isa.Generator {
-			r, err := tracefile.NewReader(bytes.NewReader(data), traceFile)
-			if err != nil { // validated above; cannot recur
-				panic(err)
-			}
-			return r
-		}
-		specs = []trace.Spec{{Name: traceFile, Category: "trace-file"}}
+		specs = []trace.Spec{spec}
 	case workload == "all":
 		specs = trace.Catalog()
 	default:
@@ -304,6 +282,19 @@ func runDiff(ctx context.Context, variant config.Core, mode, workload, traceFile
 		}
 	}
 	return exit
+}
+
+// loadTrace reads a .rfpt file into a re-instantiable generator factory
+// (tracefile.Replayer) and the spec that labels its output. Sampling and
+// both sides of a differential each decode the file afresh.
+func loadTrace(path string) (func() isa.Generator, trace.Spec, error) {
+	spec := trace.Spec{Name: path, Category: "trace-file"}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, spec, err
+	}
+	gen, err := tracefile.Replayer(raw, path)
+	return gen, spec, err
 }
 
 func printStats(cfgName string, spec trace.Spec, st *stats.Sim) {

@@ -163,23 +163,7 @@ func main() {
 	defer stop()
 	ctx = obs.WithLogger(ctx, logger)
 
-	// -metrics-addr serves the live counters while the sweep runs, from the
-	// same registry machinery rfpsimd uses; scraping it answers "is the
-	// sweep stuck or just slow" without touching the orchestrator.
-	if *metricsAddr != "" {
-		reg := obs.NewRegistry()
-		reg.Register(m)
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		msrv := &http.Server{Addr: *metricsAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("metrics server failed", "addr", *metricsAddr, "err", err.Error())
-			}
-		}()
-		defer msrv.Close()
-		logger.Info("serving sweep metrics", "addr", *metricsAddr)
-	}
+	defer serveMetrics(*metricsAddr, m, logger)()
 
 	sum, runErr := sweep.Run(ctx, units, backend, opts, m)
 	if *metrics && sum != nil {
@@ -198,22 +182,7 @@ func main() {
 		fatal(runErr)
 	}
 
-	out := os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		out = f
-	}
-	if err := sum.WriteCSV(out); err != nil {
-		fatal(err)
-	}
+	createOutput(*outPath, sum.WriteCSV)
 }
 
 // runCheckDiff executes a mode "check_diff" sweep: every grid point's
@@ -238,20 +207,7 @@ func runCheckDiff(spec *sweep.Spec, outPath string, parallel int, dryRun, progre
 	ctx = obs.WithLogger(ctx, logger)
 
 	m := &sweep.Metrics{}
-	if metricsAddr != "" {
-		reg := obs.NewRegistry()
-		reg.Register(m)
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		msrv := &http.Server{Addr: metricsAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("metrics server failed", "addr", metricsAddr, "err", err.Error())
-			}
-		}()
-		defer msrv.Close()
-		logger.Info("serving sweep metrics", "addr", metricsAddr)
-	}
+	defer serveMetrics(metricsAddr, m, logger)()
 
 	var progressW io.Writer
 	if progress {
@@ -265,24 +221,51 @@ func runCheckDiff(spec *sweep.Spec, outPath string, parallel int, dryRun, progre
 		fatal(runErr)
 	}
 
+	createOutput(outPath, sum.WriteCSV)
+	if !sum.Clean() {
+		fatal(fmt.Errorf("check_diff found divergence or invariant violations (see output above)"))
+	}
+}
+
+// serveMetrics serves m's live counters at http://addr/metrics while the
+// sweep runs, from the same registry machinery rfpsimd uses; scraping it
+// answers "is the sweep stuck or just slow" without touching the
+// orchestrator. An empty addr serves nothing. The returned func stops the
+// server.
+func serveMetrics(addr string, m *sweep.Metrics, logger *slog.Logger) func() {
+	if addr == "" {
+		return func() {}
+	}
+	reg := obs.NewRegistry()
+	reg.Register(m)
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg.Handler())
+	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	go func() {
+		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			logger.Error("metrics server failed", "addr", addr, "err", err.Error())
+		}
+	}()
+	logger.Info("serving sweep metrics", "addr", addr)
+	return func() { srv.Close() }
+}
+
+// createOutput creates the aggregate CSV at path (stdout when path is
+// empty) and fills it with write; any failure is fatal.
+func createOutput(path string, write func(io.Writer) error) {
 	out := os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
+	if path != "" {
+		f, err := os.Create(path)
 		if err != nil {
 			fatal(err)
 		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
 		out = f
 	}
-	if err := sum.WriteCSV(out); err != nil {
+	if err := write(out); err != nil {
 		fatal(err)
 	}
-	if !sum.Clean() {
-		fatal(fmt.Errorf("check_diff found divergence or invariant violations (see output above)"))
+	if err := out.Close(); err != nil {
+		fatal(err)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"os/signal"
 	"runtime"
 	"sort"
-	"sync"
 	"syscall"
 
 	"rfpsim/internal/config"
@@ -51,26 +50,17 @@ func main() {
 
 	specs := trace.Catalog()
 	rows := make([]row, len(specs))
-	sem := make(chan struct{}, runtime.NumCPU())
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec trace.Spec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Errors (a wedged pipeline, cancellation) are recorded in the
-			// row instead of exiting: killing the process from a worker
-			// goroutine would discard every in-flight sibling's work.
-			r := row{spec: spec}
-			r.base, r.err = run(ctx, config.Baseline(), spec, *warmup, *measure)
-			if r.err == nil && *withRFP {
-				r.rfp, r.err = run(ctx, config.Baseline().WithRFP(), spec, *warmup, *measure)
-			}
-			rows[i] = r
-		}(i, spec)
-	}
-	wg.Wait()
+	runner.Each(len(specs), runtime.NumCPU(), func(i int) {
+		// Errors (a wedged pipeline, cancellation) are recorded in the
+		// row instead of exiting: killing the process from a worker
+		// goroutine would discard every in-flight sibling's work.
+		r := row{spec: specs[i]}
+		r.base, r.err = run(ctx, config.Baseline(), specs[i], *warmup, *measure)
+		if r.err == nil && *withRFP {
+			r.rfp, r.err = run(ctx, config.Baseline().WithRFP(), specs[i], *warmup, *measure)
+		}
+		rows[i] = r
+	})
 
 	sort.Slice(rows, func(a, b int) bool {
 		key := func(r row) float64 {

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // entryMagic versions the on-disk entry format. An entry is one file
@@ -32,28 +30,19 @@ const maxDiskEntryBytes = 64 << 20
 // content-addressed store of response bodies under a sharded directory
 // tree (dir/<addr[:2]>/<addr>), written atomically via same-directory
 // rename so a crash mid-write never leaves a half-entry under its final
-// name. A byte-capped LRU janitor evicts the least-recently-used entries
+// name. The index is a byte-capped LRU whose evictions delete the file,
 // inline on Put; recency survives restarts approximately via file mtimes
 // (Get touches the file).
 type DiskCache struct {
 	dir      string
 	maxBytes int64
-
-	mu         sync.Mutex
-	entries    map[string]*list.Element // addr -> lru element
-	lru        *list.List               // front = most recent
-	totalBytes int64
+	index    *LRU[struct{}] // addr -> entry, sized by file bytes (header + body)
 
 	hits      counter
 	misses    counter
 	writes    counter
 	evictions counter
 	corrupt   counter
-}
-
-type diskEntry struct {
-	addr string
-	size int64 // file size (header + body)
 }
 
 // DefaultDiskMaxBytes caps the disk cache when Options leave it 0: 1 GiB.
@@ -68,12 +57,11 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fabric: cache dir: %w", err)
 	}
-	c := &DiskCache{
-		dir:      dir,
-		maxBytes: maxBytes,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-	}
+	c := &DiskCache{dir: dir, maxBytes: maxBytes}
+	c.index = NewLRU(0, maxBytes, func(addr string, _ struct{}) {
+		os.Remove(c.path(addr))
+		c.evictions.Add(1)
+	})
 	type found struct {
 		addr  string
 		size  int64
@@ -115,10 +103,8 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 		return existing[i].addr < existing[j].addr
 	})
 	for _, e := range existing {
-		c.entries[e.addr] = c.lru.PushFront(&diskEntry{addr: e.addr, size: e.size})
-		c.totalBytes += e.size
+		c.index.Put(e.addr, struct{}{}, e.size)
 	}
-	c.evictOverCapLocked()
 	return c, nil
 }
 
@@ -149,26 +135,20 @@ func (c *DiskCache) Get(addr string) ([]byte, bool) {
 	if !validAddr(addr) {
 		return nil, false
 	}
-	c.mu.Lock()
-	el, ok := c.entries[addr]
-	if ok {
-		c.lru.MoveToFront(el)
-	}
-	c.mu.Unlock()
-	if !ok {
+	if _, ok := c.index.Get(addr); !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
 	raw, err := os.ReadFile(c.path(addr))
 	if err != nil {
-		c.dropEntry(addr)
+		c.index.Remove(addr)
 		c.misses.Add(1)
 		return nil, false
 	}
 	body, ok := decodeEntry(raw)
 	if !ok {
 		c.corrupt.Add(1)
-		c.dropEntry(addr)
+		c.index.Remove(addr)
 		os.Remove(c.path(addr))
 		c.misses.Add(1)
 		return nil, false
@@ -216,10 +196,7 @@ func (c *DiskCache) Put(addr string, body []byte) error {
 	if len(body) > maxDiskEntryBytes {
 		return fmt.Errorf("fabric: entry body %d bytes exceeds the %d cap", len(body), maxDiskEntryBytes)
 	}
-	c.mu.Lock()
-	_, exists := c.entries[addr]
-	c.mu.Unlock()
-	if exists {
+	if c.index.Contains(addr) {
 		return nil
 	}
 	shard := filepath.Join(c.dir, addr[:2])
@@ -247,53 +224,13 @@ func (c *DiskCache) Put(addr string, body []byte) error {
 		os.Remove(tmpName)
 		return err
 	}
-	size := int64(len(header) + len(body))
-	c.mu.Lock()
-	if _, ok := c.entries[addr]; !ok {
-		c.entries[addr] = c.lru.PushFront(&diskEntry{addr: addr, size: size})
-		c.totalBytes += size
-	}
-	c.evictOverCapLocked()
-	c.mu.Unlock()
+	c.index.Put(addr, struct{}{}, int64(len(header)+len(body)))
 	c.writes.Add(1)
 	return nil
 }
 
-// evictOverCapLocked removes least-recently-used entries until the total
-// is back under the byte cap. Called with c.mu held.
-func (c *DiskCache) evictOverCapLocked() {
-	for c.totalBytes > c.maxBytes && c.lru.Len() > 1 {
-		el := c.lru.Back()
-		e := el.Value.(*diskEntry)
-		c.lru.Remove(el)
-		delete(c.entries, e.addr)
-		c.totalBytes -= e.size
-		os.Remove(c.path(e.addr))
-		c.evictions.Add(1)
-	}
-}
-
-// dropEntry removes addr from the index (unreadable or corrupt file).
-func (c *DiskCache) dropEntry(addr string) {
-	c.mu.Lock()
-	if el, ok := c.entries[addr]; ok {
-		c.totalBytes -= el.Value.(*diskEntry).size
-		c.lru.Remove(el)
-		delete(c.entries, addr)
-	}
-	c.mu.Unlock()
-}
-
 // Len returns the indexed entry count.
-func (c *DiskCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *DiskCache) Len() int { return c.index.Len() }
 
 // Bytes returns the indexed total size (headers included).
-func (c *DiskCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.totalBytes
-}
+func (c *DiskCache) Bytes() int64 { return c.index.Bytes() }

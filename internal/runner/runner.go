@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"rfpsim/internal/config"
@@ -34,20 +35,15 @@ const SeedStride = 0x9E3779B97F4A7C15
 type Job struct {
 	// Config is the core configuration to simulate.
 	Config config.Core
-	// Spec names the workload. With Gen unset, each replica runs
+	// Spec names the workload. With NewGen unset, each replica runs
 	// Spec.New() with a per-replica perturbed seed.
 	Spec trace.Spec
-	// Gen, when set, overrides Spec.New() as the uop source (the
-	// trace-file path). Generator state is consumed by a run, so Gen
-	// requires Seeds <= 1.
-	Gen isa.Generator
 	// NewGen, when set, is a re-instantiable generator factory overriding
 	// Spec.New(): every call must return a fresh generator producing an
-	// identical uop stream (uploaded traces re-decoded from bytes). Unlike
-	// the one-shot Gen it survives multiple runs, so sampled execution
-	// (internal/sample) can profile the stream and then replay intervals.
-	// Seed perturbation is meaningless for a fixed stream, so NewGen still
-	// requires Seeds <= 1, and at most one of Gen/NewGen may be set.
+	// identical uop stream (trace files re-decoded from their bytes, see
+	// tracefile.Replayer), so sampled execution (internal/sample) can
+	// profile the stream and then replay intervals. Seed perturbation is
+	// meaningless for a fixed stream, so NewGen requires Seeds <= 1.
 	NewGen func() isa.Generator
 	// FastForwardUops functionally consumes this many uops before the
 	// cycle-accurate warmup, training long-lived predictors and warming
@@ -139,11 +135,8 @@ func Run(ctx context.Context, job Job) (*stats.Sim, error) {
 	if job.Sampling != nil {
 		return nil, errors.New("runner: job requests sampled simulation; execute it with internal/sample.Run (runner.Run is the full-window path)")
 	}
-	if (job.Gen != nil || job.NewGen != nil) && job.seeds() > 1 {
+	if job.NewGen != nil && job.seeds() > 1 {
 		return nil, errors.New("runner: a generator override supports a single seed only")
-	}
-	if job.Gen != nil && job.NewGen != nil {
-		return nil, errors.New("runner: Gen and NewGen are mutually exclusive generator overrides")
 	}
 	tim := obs.ContextTimings(ctx)
 	observe := func(stage string, since time.Time) {
@@ -153,13 +146,15 @@ func Run(ctx context.Context, job Job) (*stats.Sim, error) {
 	}
 	total := &stats.Sim{}
 	for s := 0; s < job.seeds(); s++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("runner: %s seed %d: %w", job.Spec.Name, s, err)
+		}
 		replica := job.Spec
 		replica.Seed = job.Spec.Seed + uint64(s)*SeedStride
-		gen := job.Gen
-		if gen == nil && job.NewGen != nil {
+		var gen isa.Generator
+		if job.NewGen != nil {
 			gen = job.NewGen()
-		}
-		if gen == nil {
+		} else {
 			gen = replica.New()
 		}
 		c := core.New(job.Config, gen)
@@ -193,4 +188,24 @@ func Run(ctx context.Context, job Job) (*stats.Sim, error) {
 			"seed_index", s, "cycles", st.Cycles, "uops", st.Instructions)
 	}
 	return total, nil
+}
+
+// Each calls fn(i) for every i in [0, n), with at most parallel calls in
+// flight (parallel <= 0 means one), and returns once every call has
+// returned. It is the one bounded fan-out behind sweeps, the experiment
+// harness and cmd/suitestats; fn records its own result and error. Run
+// fails fast on a cancelled context, so after a cancel the remaining
+// calls return at once.
+func Each(n, parallel int, fn func(i int)) {
+	sem := make(chan struct{}, max(parallel, 1))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			fn(i)
+		}()
+	}
+	wg.Wait()
 }

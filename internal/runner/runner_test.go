@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rfpsim/internal/config"
+	"rfpsim/internal/isa"
 	"rfpsim/internal/trace"
 )
 
@@ -119,20 +121,20 @@ func TestDeadlineCancelsMidRun(t *testing.T) {
 	}
 }
 
-// TestGenWithMultipleSeedsRejected: a one-shot generator cannot back
-// several replicas.
+// TestGenWithMultipleSeedsRejected: a generator override replays one
+// fixed stream, so it cannot back several perturbed-seed replicas.
 func TestGenWithMultipleSeedsRejected(t *testing.T) {
 	spec := mcf(t)
 	_, err := Run(context.Background(), Job{
 		Config:      config.Baseline(),
 		Spec:        spec,
-		Gen:         spec.New(),
+		NewGen:      func() isa.Generator { return spec.New() },
 		WarmupUops:  100,
 		MeasureUops: 100,
 		Seeds:       2,
 	})
 	if err == nil {
-		t.Error("Gen with Seeds=2 accepted, want error")
+		t.Error("NewGen with Seeds=2 accepted, want error")
 	}
 }
 
@@ -212,5 +214,54 @@ func TestTotalUops(t *testing.T) {
 	j.Seeds = -1 // TotalUops stays defined (one replica) even though Run rejects it
 	if got := j.TotalUops(); got != 90000 {
 		t.Errorf("negative-seed TotalUops = %d, want 90000", got)
+	}
+}
+
+// TestEachBoundsConcurrency: Each visits every index exactly once and
+// never has more than parallel calls in flight.
+func TestEachBoundsConcurrency(t *testing.T) {
+	for _, parallel := range []int{0, 1, 3, 16} {
+		const n = 40
+		var (
+			visits        [n]atomic.Int32
+			inflight, top atomic.Int32
+		)
+		Each(n, parallel, func(i int) {
+			cur := inflight.Add(1)
+			for {
+				prev := top.Load()
+				if cur <= prev || top.CompareAndSwap(prev, cur) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			visits[i].Add(1)
+			inflight.Add(-1)
+		})
+		for i := range visits {
+			if got := visits[i].Load(); got != 1 {
+				t.Errorf("parallel %d: index %d visited %d times", parallel, i, got)
+			}
+		}
+		if limit := int32(max(parallel, 1)); top.Load() > limit {
+			t.Errorf("parallel %d: %d calls in flight at once", parallel, top.Load())
+		}
+	}
+}
+
+// TestRunCancelledBeforeStart: a job on an already-cancelled context
+// fails with the context's error instead of simulating.
+func TestRunCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st, err := Run(ctx, Job{
+		Config:      config.Baseline(),
+		Spec:        mcf(t),
+		WarmupUops:  5000,
+		MeasureUops: 40_000_000,
+		Seeds:       1,
+	})
+	if st != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("got (%v, %v), want (nil, wrapped Canceled)", st, err)
 	}
 }

@@ -2,7 +2,6 @@ package sample
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -46,18 +45,16 @@ func Normalized(sp runner.Sampling) runner.Sampling {
 }
 
 // Validate rejects sampled jobs that cannot be executed: sampling needs a
-// re-instantiable uop source — a catalog workload or a NewGen factory —
-// because the profiling pass and every replayed interval instantiate
-// fresh generators; plus a single seed, a sane interval length and a
-// positive representative budget.
+// single seed, a sane interval length and a positive representative
+// budget. Every uop source a Job names (a catalog workload or a NewGen
+// factory) is re-instantiable, as the profiling pass and every replayed
+// interval instantiate fresh generators.
 func Validate(job runner.Job) error {
 	if job.Sampling == nil {
 		return nil
 	}
 	sp := Normalized(*job.Sampling)
 	switch {
-	case job.Gen != nil:
-		return errors.New("sample: sampling needs a re-instantiable uop source (a catalog workload or a NewGen factory), not a one-shot generator")
 	case job.Seeds > 1:
 		return fmt.Errorf("sample: sampling supports a single seed, got Seeds=%d", job.Seeds)
 	case job.Sampling.MaxK < 0:

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
@@ -11,7 +10,6 @@ import (
 	"strings"
 
 	"rfpsim/internal/fabric"
-	"rfpsim/internal/isa"
 	"rfpsim/internal/runner"
 	"rfpsim/internal/sample"
 	"rfpsim/internal/trace"
@@ -188,18 +186,11 @@ func (rj *resolvedJob) loadTrace(traces *TraceStore) error {
 // replicas are structurally impossible (the runner rejects NewGen with
 // Seeds > 1).
 func attachTraceGen(job *runner.Job, raw []byte) error {
-	name := job.Spec.Name
-	if _, err := tracefile.NewReader(bytes.NewReader(raw), name); err != nil {
+	gen, err := tracefile.Replayer(raw, job.Spec.Name)
+	if err != nil {
 		return fmt.Errorf("bad trace upload: %w", err)
 	}
-	job.NewGen = func() isa.Generator {
-		r, err := tracefile.NewReader(bytes.NewReader(raw), name)
-		if err != nil {
-			// The header was validated above and the bytes are immutable.
-			panic("service: validated trace failed to reopen: " + err.Error())
-		}
-		return r
-	}
+	job.NewGen = gen
 	return nil
 }
 

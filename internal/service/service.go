@@ -108,6 +108,20 @@ type Options struct {
 	TraceCacheBytes   int64
 }
 
+// defaultCacheMaxBytes bounds the in-memory result cache when Options
+// leave CacheBytes 0: 256 MiB, far above 4096 typical bodies, so the entry
+// cap normally binds first.
+const defaultCacheMaxBytes = 256 << 20
+
+// orDefault applies the Options convention that a value <= 0 selects the
+// documented default.
+func orDefault[T int | int64](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
+}
+
 func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -297,8 +311,8 @@ type Server struct {
 	sched     *scheduler
 	wg        sync.WaitGroup
 	metrics   *Metrics
-	cache     *resultCache
-	fabric    *fabric.Fabric // nil when no fabric tier is configured
+	cache     *fabric.LRU[[]byte] // in-memory result tier: response bodies by content address
+	fabric    *fabric.Fabric      // nil when no fabric tier is configured
 	flights   fabric.FlightGroup
 	traces    *TraceStore
 	logger    *slog.Logger
@@ -322,11 +336,13 @@ func New(opts Options) (*Server, error) {
 	if registry == nil {
 		registry = obs.NewRegistry()
 	}
+	metrics := &Metrics{}
 	s := &Server{
-		opts:     opts,
-		sched:    newScheduler(opts.tenantQueueDepth(), opts.queueDepth()),
-		metrics:  &Metrics{},
-		cache:    newResultCache(opts.CacheEntries, opts.CacheBytes),
+		opts:    opts,
+		sched:   newScheduler(opts.tenantQueueDepth(), opts.queueDepth()),
+		metrics: metrics,
+		cache: fabric.NewLRU(orDefault(opts.CacheEntries, 4096), orDefault(opts.CacheBytes, defaultCacheMaxBytes),
+			func(string, []byte) { metrics.cacheEvictions.Add(1) }),
 		logger:   logger,
 		registry: registry,
 		jobSecs: obs.NewHistogram("rfpsimd_job_seconds",
@@ -336,7 +352,6 @@ func New(opts Options) (*Server, error) {
 			"Time jobs spend queued before a worker picks them up.",
 			0.0001, 0.001, 0.01, 0.1, 0.5, 1, 5, 10),
 	}
-	s.cache.onEvict = func() { s.metrics.cacheEvictions.Add(1) }
 	if opts.Fabric.Enabled() {
 		fopts := opts.Fabric
 		if fopts.Logger == nil {
@@ -478,7 +493,7 @@ func (s *Server) execute(ctx context.Context, rj *resolvedJob) jobResult {
 		return jobResult{err: err}
 	}
 	body = append(body, '\n')
-	s.cache.put(rj.key, body)
+	s.cache.Put(rj.key, body, int64(len(body)))
 	if s.fabric != nil {
 		// Persist locally and converge the fleet: the shard owner gets a
 		// best-effort write-back so any peer's future miss finds the
@@ -665,7 +680,7 @@ func (s *Server) Do(ctx context.Context, req SimRequest, tenant string) (*DoResu
 	log = log.With("workload", rj.job.Spec.Name, "config", rj.job.Config.Name, "tenant", tenant)
 
 	// Tier 1: this daemon's memory cache.
-	if body, ok := s.cache.get(rj.key); ok {
+	if body, ok := s.cache.Get(rj.key); ok {
 		s.metrics.cacheHits.Add(1)
 		log.Info("job served from cache", "tier", "memory", "key", rj.key[:12])
 		return &DoResult{Body: body, Tier: "hit", Key: rj.key}, nil
@@ -673,7 +688,7 @@ func (s *Server) Do(ctx context.Context, req SimRequest, tenant string) (*DoResu
 	// Tier 2: the persistent disk cache (promoted into memory on hit).
 	if s.fabric != nil {
 		if body, ok := s.fabric.DiskGet(rj.key); ok {
-			s.cache.put(rj.key, body)
+			s.cache.Put(rj.key, body, int64(len(body)))
 			log.Info("job served from cache", "tier", "disk", "key", rj.key[:12])
 			return &DoResult{Body: body, Tier: "disk", Key: rj.key}, nil
 		}
@@ -705,7 +720,7 @@ func (s *Server) Do(ctx context.Context, req SimRequest, tenant string) (*DoResu
 	// degrades to simulating locally.
 	if s.fabric != nil {
 		if body, ok := s.fabric.FetchFromOwner(ctx, rj.key); ok {
-			s.cache.put(rj.key, body)
+			s.cache.Put(rj.key, body, int64(len(body)))
 			s.fabric.DiskPut(rj.key, body)
 			complete(body, nil)
 			log.Info("job served from cache", "tier", "peer", "key", rj.key[:12])
@@ -815,13 +830,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		if body, ok := s.cache.get(addr); ok {
+		if body, ok := s.cache.Get(addr); ok {
 			writeResult(w, "hit", body)
 			return
 		}
 		if s.fabric != nil {
 			if body, ok := s.fabric.DiskGet(addr); ok {
-				s.cache.put(addr, body)
+				s.cache.Put(addr, body, int64(len(body)))
 				writeResult(w, "disk", body)
 				return
 			}
@@ -844,7 +859,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			writeJSONError(w, http.StatusBadRequest, "invalid", err.Error())
 			return
 		}
-		s.cache.put(addr, body)
+		s.cache.Put(addr, body, int64(len(body)))
 		if s.fabric != nil {
 			s.fabric.DiskPut(addr, body)
 		}
@@ -910,8 +925,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"tenants_queued": s.sched.tenantsQueued(),
 		"jobs_queued":    s.metrics.jobsQueued.Load(),
 		"jobs_running":   s.metrics.jobsRunning.Load(),
-		"cache_entries":  s.cache.len(),
-		"cache_bytes":    s.cache.bytes(),
+		"cache_entries":  s.cache.Len(),
+		"cache_bytes":    s.cache.Bytes(),
 	}
 	if s.fabric != nil {
 		body["fabric"] = s.fabric.String()

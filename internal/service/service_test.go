@@ -270,6 +270,43 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestResultCacheEviction: with room for two bodies, a third distinct
+// request evicts the least recently used one, the eviction is counted in
+// rfpsimd_cache_evictions_total and /healthz reports the capped size.
+func TestResultCacheEviction(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, CacheEntries: 2})
+	for _, w := range []string{"spec06_mcf", "spec06_gcc", "spec06_hmmer"} {
+		req := quickReq()
+		req.Workload = w
+		if resp, body := postSim(t, ts, req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", w, resp.StatusCode, body)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(raw), "rfpsimd_cache_evictions_total 1\n") {
+		t.Errorf("/metrics missing rfpsimd_cache_evictions_total 1 in:\n%s", raw)
+	}
+
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h map[string]interface{}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h["cache_entries"] != float64(2) {
+		t.Errorf("healthz cache_entries = %v, want 2", h["cache_entries"])
+	}
+}
+
 // TestBackpressure429 fills the one-deep queue behind a slow job and
 // asserts the next job is rejected with 429 rather than queued unboundedly.
 func TestBackpressure429(t *testing.T) {

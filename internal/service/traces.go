@@ -148,8 +148,8 @@ func (s *Server) Status() Status {
 		CacheHits:        hits,
 		CacheMisses:      misses,
 		CacheHitRatio:    ratio,
-		CacheEntries:     s.cache.len(),
-		CacheBytes:       s.cache.bytes(),
+		CacheEntries:     s.cache.Len(),
+		CacheBytes:       s.cache.Bytes(),
 		Dedup:            s.metrics.fabricDedup.Load(),
 		TracesStored:     s.traces.Len(),
 		TracesUploaded:   s.metrics.tracesUploaded.Load(),

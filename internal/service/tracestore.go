@@ -2,12 +2,11 @@ package service
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
+	"rfpsim/internal/fabric"
 	"rfpsim/internal/isa"
 	"rfpsim/internal/tracefile"
 )
@@ -63,13 +62,8 @@ type TraceInfo struct {
 // entries back into memory, which is how a trace uploaded before a
 // daemon restart keeps resolving after it.
 type TraceStore struct {
-	mu         sync.Mutex
-	entries    map[string]*list.Element
-	lru        *list.List // front = most recently used
-	maxEntries int
-	maxBytes   int64
-	totalBytes int64
-	disk       TraceDiskTier // nil or HasDisk()==false when memory-only
+	mem  *fabric.LRU[traceStoreEntry] // by address, sized by raw bytes
+	disk TraceDiskTier                // nil or HasDisk()==false when memory-only
 }
 
 type traceStoreEntry struct {
@@ -81,18 +75,10 @@ type traceStoreEntry struct {
 // maxBytes total raw bytes (0 selects the defaults: 64 entries, 256 MiB),
 // with disk as the optional persistent tier.
 func NewTraceStore(maxEntries int, maxBytes int64, disk TraceDiskTier) *TraceStore {
-	if maxEntries <= 0 {
-		maxEntries = defaultTraceEntries
-	}
-	if maxBytes <= 0 {
-		maxBytes = defaultTraceBytes
-	}
 	return &TraceStore{
-		entries:    make(map[string]*list.Element),
-		lru:        list.New(),
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		disk:       disk,
+		mem: fabric.NewLRU[traceStoreEntry](orDefault(maxEntries, defaultTraceEntries),
+			orDefault(maxBytes, defaultTraceBytes), nil),
+		disk: disk,
 	}
 }
 
@@ -143,13 +129,9 @@ func (s *TraceStore) Add(raw []byte) (TraceInfo, bool, error) {
 		Uops:     uops,
 	}
 
-	s.mu.Lock()
-	if el, ok := s.entries[addr]; ok {
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
+	if _, ok := s.mem.Get(addr); ok {
 		return info, true, nil
 	}
-	s.mu.Unlock()
 
 	dedup := false
 	if s.hasDisk() {
@@ -159,23 +141,16 @@ func (s *TraceStore) Add(raw []byte) (TraceInfo, bool, error) {
 			s.disk.DiskPut(addr, raw)
 		}
 	}
-	s.mu.Lock()
-	s.insertLocked(info, raw)
-	s.mu.Unlock()
+	s.mem.Put(addr, traceStoreEntry{info: info, raw: raw}, info.Bytes)
 	return info, dedup, nil
 }
 
 // Get returns the raw bytes and info of a stored trace, falling back to
 // (and promoting from) the persistent tier on a memory miss.
 func (s *TraceStore) Get(addr string) ([]byte, TraceInfo, bool) {
-	s.mu.Lock()
-	if el, ok := s.entries[addr]; ok {
-		s.lru.MoveToFront(el)
-		e := el.Value.(*traceStoreEntry)
-		s.mu.Unlock()
+	if e, ok := s.mem.Get(addr); ok {
 		return e.raw, e.info, true
 	}
-	s.mu.Unlock()
 
 	if !s.hasDisk() {
 		return nil, TraceInfo{}, false
@@ -196,9 +171,7 @@ func (s *TraceStore) Get(addr string) ([]byte, TraceInfo, bool) {
 		Bytes:    int64(len(raw)),
 		Uops:     uops,
 	}
-	s.mu.Lock()
-	s.insertLocked(info, raw)
-	s.mu.Unlock()
+	s.mem.Put(addr, traceStoreEntry{info: info, raw: raw}, info.Bytes)
 	return raw, info, true
 }
 
@@ -206,36 +179,15 @@ func (s *TraceStore) Get(addr string) ([]byte, TraceInfo, bool) {
 // Traces evicted to the persistent tier are not listed but still resolve
 // by address.
 func (s *TraceStore) List() []TraceInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TraceInfo, 0, len(s.entries))
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*traceStoreEntry).info)
+	entries := s.mem.Values()
+	out := make([]TraceInfo, len(entries))
+	for i, e := range entries {
+		out[i] = e.info
 	}
 	return out
 }
 
 // Len returns the in-memory trace count.
-func (s *TraceStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
+func (s *TraceStore) Len() int { return s.mem.Len() }
 
 func (s *TraceStore) hasDisk() bool { return s.disk != nil && s.disk.HasDisk() }
-
-func (s *TraceStore) insertLocked(info TraceInfo, raw []byte) {
-	if el, ok := s.entries[info.Address]; ok {
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.entries[info.Address] = s.lru.PushFront(&traceStoreEntry{info: info, raw: raw})
-	s.totalBytes += info.Bytes
-	for (len(s.entries) > s.maxEntries || s.totalBytes > s.maxBytes) && s.lru.Len() > 1 {
-		victim := s.lru.Back()
-		e := victim.Value.(*traceStoreEntry)
-		s.lru.Remove(victim)
-		delete(s.entries, e.info.Address)
-		s.totalBytes -= e.info.Bytes
-	}
-}

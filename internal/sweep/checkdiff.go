@@ -9,9 +9,12 @@ import (
 	"sync"
 
 	"rfpsim/internal/check"
+	"rfpsim/internal/config"
 	"rfpsim/internal/experiments"
 	"rfpsim/internal/obs"
 	"rfpsim/internal/runner"
+	"rfpsim/internal/service"
+	"rfpsim/internal/trace"
 )
 
 // DiffUnit is one check_diff grid point: a variant configuration under
@@ -23,12 +26,11 @@ type DiffUnit struct {
 	Diff check.Differential
 }
 
-// ExpandDiff enumerates the check_diff grid in the same deterministic
-// order Expand uses: cartesian product of the axes (first axis slowest),
-// workloads innermost. Every grid point's configuration is the VARIANT
-// side of a differential; the base side is derived by the spec's
-// DiffMode. Knobs the differential harness deliberately ignores are
-// rejected rather than silently dropped.
+// ExpandDiff enumerates the check_diff grid in grid order, the order
+// Expand uses. Every grid point's configuration is the VARIANT side of a
+// differential; the base side is derived by the spec's DiffMode. Knobs
+// the differential harness deliberately ignores are rejected rather than
+// silently dropped.
 func (s *Spec) ExpandDiff() ([]DiffUnit, error) {
 	if !s.CheckDiff() {
 		return nil, fmt.Errorf("sweep: ExpandDiff needs mode \"check_diff\", not %q", s.Mode)
@@ -53,61 +55,31 @@ func (s *Spec) ExpandDiff() ([]DiffUnit, error) {
 		return nil, fmt.Errorf("sweep: sampling only applies to diff_mode \"full\" (sampled vs full), not %q", mode)
 	}
 
-	specs, err := s.workloads()
-	if err != nil {
-		return nil, err
-	}
-	for i, ax := range s.Axes {
-		if ax.Knob == "" || len(ax.Values) == 0 {
-			return nil, fmt.Errorf("sweep: axis %d needs a knob and at least one value", i)
-		}
-	}
-
-	choice := make([]int, len(s.Axes))
 	var units []DiffUnit
-	for {
-		cfg, err := applyAxes(s.Base, s.Axes, choice)
-		if err != nil {
-			return nil, err
-		}
-		variant, err := cfg.Build()
-		if err != nil {
-			return nil, fmt.Errorf("sweep: grid point %s: %w", pointLabel(s.Axes, choice), err)
-		}
+	if err := s.grid(func(_ service.ConfigSpec, variant config.Core, wl trace.Spec, point string) error {
 		base, sampledVsFull, err := check.BaseFor(mode, variant)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, wl := range specs {
-			d := check.Differential{
-				Base: base, Variant: variant,
-				Spec: wl,
-				Uops: s.MeasureUops,
-			}
-			if sampledVsFull {
-				d.VariantSampling = &runner.Sampling{}
-				if sp := s.Sampling; sp != nil {
-					d.VariantSampling = &runner.Sampling{
-						IntervalUops: sp.IntervalUops,
-						MaxK:         sp.MaxK,
-						WarmupUops:   sp.WarmupUops,
-					}
+		d := check.Differential{
+			Base: base, Variant: variant,
+			Spec: wl,
+			Uops: s.MeasureUops,
+		}
+		if sampledVsFull {
+			d.VariantSampling = &runner.Sampling{}
+			if sp := s.Sampling; sp != nil {
+				d.VariantSampling = &runner.Sampling{
+					IntervalUops: sp.IntervalUops,
+					MaxK:         sp.MaxK,
+					WarmupUops:   sp.WarmupUops,
 				}
 			}
-			label := s.Name + "/" + wl.Name + "/" + pointLabel(s.Axes, choice)
-			units = append(units, DiffUnit{Label: label, Diff: d})
 		}
-		i := len(s.Axes) - 1
-		for ; i >= 0; i-- {
-			choice[i]++
-			if choice[i] < len(s.Axes[i].Values) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i < 0 {
-			break
-		}
+		units = append(units, DiffUnit{Label: s.Name + "/" + wl.Name + "/" + point, Diff: d})
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return units, nil
 }
@@ -154,52 +126,35 @@ func RunCheckDiff(ctx context.Context, units []DiffUnit, parallel int, m *Metric
 		Units:   units,
 		Results: make(map[string]*check.Result, len(units)),
 	}
-	var (
-		mu  sync.Mutex
-		wg  sync.WaitGroup
-		sem = make(chan struct{}, parallel)
-	)
-	for _, u := range units {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(u DiffUnit) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
+	var mu sync.Mutex
+	runner.Each(len(units), parallel, func(i int) {
+		u := units[i]
+		log := obs.Logger(ctx).With("unit", u.Label)
+		res, err := u.Diff.Run(ctx)
+		if err != nil {
+			if ctx.Err() != nil {
 				return
 			}
-			defer func() { <-sem }()
-			log := obs.Logger(ctx).With("unit", u.Label)
-			res, err := u.Diff.Run(ctx)
-			if err != nil {
-				if ctx.Err() != nil {
-					return
-				}
-				log.Warn("diff unit failed", "err", err.Error())
-				m.failed.Add(1)
-				mu.Lock()
-				sum.Failed = append(sum.Failed, UnitError{Unit: Unit{Label: u.Label}, Err: err})
-				mu.Unlock()
-				return
-			}
-			m.done.Add(1)
-			m.checkViolations.Add(res.BaseViolations + res.VariantViolations)
-			if res.Diverged {
-				m.diffDivergences.Add(1)
-				log.Warn("digest divergence", "uop", res.UopIndex, "interval", res.Interval)
-			}
+			log.Warn("diff unit failed", "err", err.Error())
+			m.failed.Add(1)
 			mu.Lock()
-			sum.Results[u.Label] = res
-			if progress != nil {
-				fmt.Fprintf(progress, "%s: %s\n", u.Label, res)
-			}
+			sum.Failed = append(sum.Failed, UnitError{Unit: Unit{Label: u.Label}, Err: err})
 			mu.Unlock()
-		}(u)
-	}
-	wg.Wait()
+			return
+		}
+		m.done.Add(1)
+		m.checkViolations.Add(res.BaseViolations + res.VariantViolations)
+		if res.Diverged {
+			m.diffDivergences.Add(1)
+			log.Warn("digest divergence", "uop", res.UopIndex, "interval", res.Interval)
+		}
+		mu.Lock()
+		sum.Results[u.Label] = res
+		if progress != nil {
+			fmt.Fprintf(progress, "%s: %s\n", u.Label, res)
+		}
+		mu.Unlock()
+	})
 	if err := ctx.Err(); err != nil {
 		return sum, err
 	}

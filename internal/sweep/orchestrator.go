@@ -11,6 +11,7 @@ import (
 
 	"rfpsim/internal/experiments"
 	"rfpsim/internal/obs"
+	"rfpsim/internal/runner"
 	"rfpsim/internal/service"
 )
 
@@ -164,59 +165,47 @@ func Run(ctx context.Context, units []Unit, backend Backend, opts Options, m *Me
 
 	var (
 		mu      sync.Mutex
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, opts.parallel())
 		loopErr error
 	)
-	for _, u := range pending {
+	runner.Each(len(pending), opts.parallel(), func(i int) {
+		u := pending[i]
 		if ctx.Err() != nil {
-			break
+			return // cancelled before dispatch: the unit stays pending
 		}
-		wg.Add(1)
-		go func(u Unit) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
+		// Each unit gets its own run ID and timings collector. The
+		// local backend's runner fills the collector through the
+		// context; the HTTP backend forwards the ID to the daemon
+		// (whose logs then correlate with ours) and merges the
+		// daemon's timings header back into the collector.
+		uctx, tim := obs.WithTimings(obs.WithRunID(ctx, obs.NewRunID()))
+		ulog := obs.Logger(uctx).With("unit", u.Label, "key", u.Key[:12])
+		ulog.Debug("unit start", "backend", backend.Name())
+		resp, err := backend.Run(uctx, u)
+		if err != nil {
+			if ctx.Err() != nil {
+				return // cancelled, not failed: the unit stays pending
 			}
-			defer func() { <-sem }()
-			// Each unit gets its own run ID and timings collector. The
-			// local backend's runner fills the collector through the
-			// context; the HTTP backend forwards the ID to the daemon
-			// (whose logs then correlate with ours) and merges the
-			// daemon's timings header back into the collector.
-			uctx, tim := obs.WithTimings(obs.WithRunID(ctx, obs.NewRunID()))
-			ulog := obs.Logger(uctx).With("unit", u.Label, "key", u.Key[:12])
-			ulog.Debug("unit start", "backend", backend.Name())
-			resp, err := backend.Run(uctx, u)
-			if err != nil {
-				if ctx.Err() != nil {
-					return // cancelled, not failed: the unit stays pending
-				}
-				ulog.Warn("unit failed", "err", err.Error())
-				m.failed.Add(1)
-				mu.Lock()
-				sum.Failed = append(sum.Failed, UnitError{Unit: u, Err: err})
-				mu.Unlock()
-				return
-			}
-			ulog.Debug("unit done", "ipc", resp.IPC, "timings", tim.String())
+			ulog.Warn("unit failed", "err", err.Error())
+			m.failed.Add(1)
 			mu.Lock()
-			sum.Results[u.Key] = resp
-			sum.Timings[u.Key] = tim
-			var jerr error
-			if journal != nil {
-				jerr = journal.Record(u, resp)
-			}
-			if jerr != nil && loopErr == nil {
-				loopErr = jerr
-			}
+			sum.Failed = append(sum.Failed, UnitError{Unit: u, Err: err})
 			mu.Unlock()
-			m.done.Add(1)
-		}(u)
-	}
-	wg.Wait()
+			return
+		}
+		ulog.Debug("unit done", "ipc", resp.IPC, "timings", tim.String())
+		mu.Lock()
+		sum.Results[u.Key] = resp
+		sum.Timings[u.Key] = tim
+		var jerr error
+		if journal != nil {
+			jerr = journal.Record(u, resp)
+		}
+		if jerr != nil && loopErr == nil {
+			loopErr = jerr
+		}
+		mu.Unlock()
+		m.done.Add(1)
+	})
 	close(stopProgress)
 	progressWG.Wait()
 	if opts.Progress != nil {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rfpsim/internal/config"
 	"rfpsim/internal/fabric"
 	"rfpsim/internal/service"
 	"rfpsim/internal/trace"
@@ -218,58 +219,38 @@ func axisLabel(ax Axis, v json.RawMessage) string {
 	return ax.Knob + "=" + buf.String()
 }
 
-// Expand enumerates the full grid in deterministic order: the cartesian
-// product of the axes (first axis slowest), workloads innermost. Every
-// unit's configuration is validated by building it, and every unit is
-// keyed by the daemon's content address; duplicate keys (two grid points
-// resolving to the same simulation) are rejected rather than silently
-// collapsed, since they would make "done units" ambiguous on resume.
-func (s *Spec) Expand() ([]Unit, error) {
-	if s.CheckDiff() {
-		return nil, fmt.Errorf("sweep: mode \"check_diff\" expands with ExpandDiff, not Expand")
-	}
+// grid walks the sweep grid in its one deterministic order — the
+// cartesian product of the axes (first axis slowest), workloads innermost
+// — calling fn for every (grid point, workload) pair with the point's
+// knobs, its built configuration and its label. It expands the workload
+// selectors, validates the axes and builds every grid point once, so
+// Expand and ExpandDiff enumerate identically. An error from fn stops the
+// walk.
+func (s *Spec) grid(fn func(knobs service.ConfigSpec, cfg config.Core, wl trace.Spec, point string) error) error {
 	specs, err := s.workloads()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, ax := range s.Axes {
 		if ax.Knob == "" || len(ax.Values) == 0 {
-			return nil, fmt.Errorf("sweep: axis %d needs a knob and at least one value", i)
+			return fmt.Errorf("sweep: axis %d needs a knob and at least one value", i)
 		}
 	}
-
 	choice := make([]int, len(s.Axes))
-	var units []Unit
-	byKey := map[string]string{}
 	for {
-		cfg, err := applyAxes(s.Base, s.Axes, choice)
+		point := pointLabel(s.Axes, choice)
+		knobs, err := applyAxes(s.Base, s.Axes, choice)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if _, err := cfg.Build(); err != nil {
-			return nil, fmt.Errorf("sweep: grid point %s: %w", pointLabel(s.Axes, choice), err)
+		cfg, err := knobs.Build()
+		if err != nil {
+			return fmt.Errorf("sweep: grid point %s: %w", point, err)
 		}
 		for _, wl := range specs {
-			req := service.SimRequest{
-				Workload:    wl.Name,
-				Config:      cfg,
-				WarmupUops:  s.WarmupUops,
-				MeasureUops: s.MeasureUops,
-				Seeds:       s.Seeds,
-				ColdCaches:  s.ColdCaches,
-				Sampling:    s.Sampling,
-				TimeoutMS:   s.TimeoutMS,
+			if err := fn(knobs, cfg, wl, point); err != nil {
+				return err
 			}
-			key, err := service.ContentAddress(req)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: %s/%s: %w", wl.Name, pointLabel(s.Axes, choice), err)
-			}
-			label := s.Name + "/" + displayName(wl.Name) + "/" + pointLabel(s.Axes, choice)
-			if prev, dup := byKey[key]; dup {
-				return nil, fmt.Errorf("sweep: units %s and %s resolve to the same simulation (key %s)", prev, label, key[:12])
-			}
-			byKey[key] = label
-			units = append(units, Unit{Label: label, Req: req, Key: key})
 		}
 		// Odometer increment over the axes, last axis fastest.
 		i := len(s.Axes) - 1
@@ -281,8 +262,45 @@ func (s *Spec) Expand() ([]Unit, error) {
 			choice[i] = 0
 		}
 		if i < 0 {
-			break
+			return nil
 		}
+	}
+}
+
+// Expand enumerates the full grid in grid order. Every unit is keyed by
+// the daemon's content address; duplicate keys (two grid points resolving
+// to the same simulation) are rejected rather than silently collapsed,
+// since they would make "done units" ambiguous on resume.
+func (s *Spec) Expand() ([]Unit, error) {
+	if s.CheckDiff() {
+		return nil, fmt.Errorf("sweep: mode \"check_diff\" expands with ExpandDiff, not Expand")
+	}
+	var units []Unit
+	byKey := map[string]string{}
+	if err := s.grid(func(knobs service.ConfigSpec, _ config.Core, wl trace.Spec, point string) error {
+		req := service.SimRequest{
+			Workload:    wl.Name,
+			Config:      knobs,
+			WarmupUops:  s.WarmupUops,
+			MeasureUops: s.MeasureUops,
+			Seeds:       s.Seeds,
+			ColdCaches:  s.ColdCaches,
+			Sampling:    s.Sampling,
+			TimeoutMS:   s.TimeoutMS,
+		}
+		key, err := service.ContentAddress(req)
+		if err != nil {
+			return fmt.Errorf("sweep: %s/%s: %w", wl.Name, point, err)
+		}
+		label := s.Name + "/" + displayName(wl.Name) + "/" + point
+		if prev, dup := byKey[key]; dup {
+			return fmt.Errorf("sweep: units %s and %s resolve to the same simulation (key %s)", prev, label, key[:12])
+		}
+		byKey[key] = label
+		units = append(units, Unit{Label: label, Req: req, Key: key})
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return units, nil
 }

@@ -18,6 +18,7 @@ package tracefile
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -165,6 +166,24 @@ func NewReader(r io.Reader, name string) (*Reader, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	return &Reader{r: br, name: name}, nil
+}
+
+// Replayer validates the header of raw once and returns a factory whose
+// every call decodes raw afresh: a re-instantiable generator over one
+// fixed uop stream, which runs that consume several generators (sampled
+// profiling and replay, both sides of a differential) need. raw must not
+// change afterwards.
+func Replayer(raw []byte, name string) (func() isa.Generator, error) {
+	if _, err := NewReader(bytes.NewReader(raw), name); err != nil {
+		return nil, err
+	}
+	return func() isa.Generator {
+		r, err := NewReader(bytes.NewReader(raw), name)
+		if err != nil {
+			panic("tracefile: validated trace failed to reopen: " + err.Error())
+		}
+		return r
+	}, nil
 }
 
 // Name implements isa.Generator.

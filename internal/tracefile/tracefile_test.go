@@ -320,3 +320,44 @@ func TestReaderNextAfterError(t *testing.T) {
 		t.Error("error lost")
 	}
 }
+
+// TestReplayer: every generator the factory returns replays the whole
+// stream from its first record, and a bad header fails up front.
+func TestReplayer(t *testing.T) {
+	ops := []isa.MicroOp{
+		{PC: 0x1000, Class: isa.OpLoad, Dst: 3, Src1: 1, Src2: isa.NoReg, Addr: 0x8000, Size: 8, Value: 42},
+		{Seq: 1, PC: 0x1004, Class: isa.OpALU, Dst: 4, Src1: 3, Src2: 2},
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := range ops {
+		if err := w.Write(&ops[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	newGen, err := Replayer(buf.Bytes(), "replay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		gen := newGen()
+		if gen.Name() != "replay" {
+			t.Errorf("pass %d: name %q", pass, gen.Name())
+		}
+		var op isa.MicroOp
+		for i := range ops {
+			if !gen.Next(&op) || op != ops[i] {
+				t.Fatalf("pass %d record %d: got %+v, want %+v", pass, i, op, ops[i])
+			}
+		}
+		if gen.Next(&op) {
+			t.Errorf("pass %d: stream did not end", pass)
+		}
+	}
+	if _, err := Replayer([]byte("NOPE0123456789ABCDEF"), "x"); !errors.Is(err, ErrBadMagic) {
+		t.Errorf("bad magic: err = %v, want ErrBadMagic", err)
+	}
+}
